@@ -150,4 +150,19 @@ WSN_TELEMETRY_OUT="$PWD/target/TELEMETRY_smoke.json" \
     cargo run --release --offline --features telemetry -p wsn-bench --bin fig_telemetry
 cargo run --release --offline -p wsn-bench --bin json_check -- target/TELEMETRY_smoke.json
 
+# Benchmark smoke: the benchmark's own unit tests (plain build; they check
+# BENCHMARK.json against the binary's metric list), then one short
+# city-stream run. The run's exact checks (every repeat and every resume
+# equal the first run, slide for slide) must all pass: the result line must
+# say "correct": true with no failed operation.
+echo "== perfbench smoke (unit tests + one-second city-stream) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+result=$(python3 perfbench/run.py --fleet-rate 140 --workload city-stream --seed 1 --seconds 1 --trace 0 | tail -n 1)
+python3 - "$result" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+if result.get("correct") is not True or result.get("failed") != 0:
+    sys.exit(f"perfbench city-stream smoke failed its exact checks: {sys.argv[1]}")
+PY
+
 echo "CI OK"

@@ -592,6 +592,15 @@ where
     pub fn cursor(&self) -> usize {
         self.next
     }
+
+    /// The nodes that joined (or rejoined, as a fresh application) through
+    /// the events applied since the plan cursor stood at `since`.
+    pub fn joined_since(&self, since: usize) -> impl Iterator<Item = SensorId> + '_ {
+        self.plan.events()[since..self.next].iter().filter_map(|ev| match ev.action {
+            FaultAction::Join { id, .. } => Some(id),
+            FaultAction::Death(_) => None,
+        })
+    }
 }
 
 /// Runs one experiment end to end: deployment → trace → simulation → metrics.

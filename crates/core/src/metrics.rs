@@ -299,6 +299,36 @@ fn hop_scoped_union(
         .collect()
 }
 
+/// One node's semi-global truth: the `O_n` answer over, and the injected
+/// labels carried by, the local data within `hop_diameter` hops of `id`.
+/// This is the per-node step of [`paired_truths`]; callers that spread the
+/// nodes over threads assemble the results with [`paired_truths_from`].
+pub(crate) fn hop_scoped_truth<R: RankingFunction + ?Sized>(
+    ranking: &R,
+    n: usize,
+    labels: &BTreeSet<PointKey>,
+    local_data: &BTreeMap<SensorId, Vec<DataPoint>>,
+    topology: &Topology,
+    hop_diameter: u32,
+    id: SensorId,
+) -> (OutlierEstimate, BTreeSet<PointKey>) {
+    let union = hop_scoped_union(id, local_data, topology, hop_diameter);
+    (top_n_outliers(ranking, n, &union), labels_among(labels, union.iter()))
+}
+
+/// Assembles the paired truths from per-node [`hop_scoped_truth`] results.
+pub(crate) fn paired_truths_from(
+    per_node: impl IntoIterator<Item = (SensorId, (OutlierEstimate, BTreeSet<PointKey>))>,
+) -> (GroundTruth, LabelTruth) {
+    let mut truth = BTreeMap::new();
+    let mut scopes = BTreeMap::new();
+    for (id, (answer, scope)) in per_node {
+        truth.insert(id, Arc::new(answer));
+        scopes.insert(id, Arc::new(scope));
+    }
+    (GroundTruth { per_node: truth }, LabelTruth { per_node: scopes })
+}
+
 /// The label keys carried by `points`.
 fn labels_among<'a>(
     labels: &BTreeSet<PointKey>,
@@ -335,16 +365,9 @@ pub fn paired_truths<R: RankingFunction + ?Sized>(
                 },
             )
         }
-        Some((topology, hop_diameter)) => {
-            let mut truth = BTreeMap::new();
-            let mut scopes = BTreeMap::new();
-            for &id in local_data.keys() {
-                let union = hop_scoped_union(id, local_data, topology, hop_diameter);
-                scopes.insert(id, Arc::new(labels_among(labels, union.iter())));
-                truth.insert(id, Arc::new(top_n_outliers(ranking, n, &union)));
-            }
-            (GroundTruth { per_node: truth }, LabelTruth { per_node: scopes })
-        }
+        Some((topology, hop_diameter)) => paired_truths_from(local_data.keys().map(|&id| {
+            (id, hop_scoped_truth(ranking, n, labels, local_data, topology, hop_diameter, id))
+        })),
     }
 }
 

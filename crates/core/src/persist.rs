@@ -10,6 +10,22 @@
 //! detectors' outputs are exact regardless of cache temperature (stale rank
 //! bounds are still upper bounds; see [`crate::sufficient`]).
 //!
+//! # Streaming checkpoints hold digests, not dumps
+//!
+//! A streaming run is a pure function of its configuration (seeded RNG,
+//! intrinsic event order), so a resumed run must *replay* the simulation to
+//! the checkpoint to rebuild transport state (schedules, in-flight
+//! messages, routes) anyway — and the replayed detectors then hold exactly
+//! the checkpointed state. A streaming checkpoint therefore stores, per
+//! live node, only the 64-bit [`JsonValue::digest`] of its canonical
+//! snapshot, next to the small report state (cursors, slide reports, delta
+//! baseline). Resume compares the replayed nodes' digests against them and
+//! refuses any difference — a missing, extra or diverged node — with
+//! [`PersistError::Mismatch`]; nothing is restored, because nothing needs
+//! to be. Full snapshots (`persist_snapshot`/`persist_restore`) remain the
+//! format of layers that cannot replay, such as `wsn-fleet`'s per-tenant
+//! checkpoints.
+//!
 //! # File format
 //!
 //! A snapshot file is two lines of text:
@@ -64,6 +80,10 @@ use crate::ledger::QuietLedger;
 use crate::sufficient::{FixedPointEngine, NeighborStateDump};
 use wsn_data::window::{SlidingWindow, WindowConfig};
 use wsn_data::{DataPoint, Epoch, HopCount, PointKey, PointSet, SensorId, Timestamp};
+/// The checksum guarding every snapshot payload and journal row,
+/// re-exported from `wsn-json`, which also hashes node-state digests with it
+/// ([`JsonValue::digest`]).
+pub use wsn_json::fnv1a64;
 /// The document model every snapshot serializes to, re-exported from
 /// `wsn-json` so callers holding dumps (every `persist_snapshot` return
 /// value) can name the type without depending on the JSON crate directly.
@@ -123,18 +143,6 @@ impl fmt::Display for PersistError {
 }
 
 impl Error for PersistError {}
-
-/// FNV-1a, 64-bit: the dependency-free checksum guarding every snapshot
-/// payload and journal row. Not cryptographic — it detects torn writes and
-/// bit rot, which is all the crash model needs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// A stable fingerprint of an experiment configuration, stamped into every
 /// checkpoint and journal row so state from a different experiment is
@@ -725,14 +733,6 @@ mod tests {
                 .unwrap();
         p.hop = hop;
         p
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

@@ -23,18 +23,29 @@
 //! # Crash safety
 //!
 //! [`StreamingExperiment::checkpoint_every_slides`] makes the driver write
-//! an atomic, checksummed snapshot of every node's canonical state (plus the
-//! slide reports, delta baseline and fault-plan cursor) every `k` slides;
+//! an atomic, checksummed checkpoint every `k` slides: the slide reports,
+//! delta baseline, cursors and convergence so far, plus one 64-bit digest
+//! ([`JsonValue::digest`]) of every live node's canonical state;
 //! [`StreamingExperiment::resume_from`] picks a killed run back up from the
 //! latest checkpoint. Because the whole simulation is deterministic (seeded
 //! RNG, intrinsic event order), the resume path **replays** the simulation
-//! up to the checkpoint slide — which reconstructs transport state
-//! (schedules, in-flight messages, AODV routes) exactly — then validates
-//! the replayed detector state against the snapshot bit-for-bit and
-//! installs the snapshot through the live restore path. A resumed run
-//! therefore continues *bit-for-bit identical* to one that was never
-//! stopped, on either backend, under any fault plan; a torn or mismatched
-//! checkpoint is refused with a typed [`PersistError`], never loaded.
+//! up to the checkpoint slide, which reconstructs every node — detector and
+//! transport state (schedules, in-flight messages, AODV routes) alike —
+//! exactly. It then digests the replayed nodes and compares them with the
+//! checkpoint's: the replayed state *is* the checkpointed state, so nothing
+//! is restored. A resumed run therefore continues *bit-for-bit identical*
+//! to one that was never stopped, on either backend, under any fault plan;
+//! a torn file is refused with [`PersistError::Corrupt`], and a checkpoint
+//! whose nodes differ from the replay (a diverged, missing or extra node)
+//! with [`PersistError::Mismatch`], before any slide runs.
+//!
+//! # The slide boundary runs on the regions
+//!
+//! Collecting the nodes' data and estimates, grading hop-scoped truths and
+//! digesting node state all go through [`SimHandle::map_apps`]: on the
+//! partitioned backend each region does its own nodes' share as one job on
+//! the simulator's worker pool. Results merge in id order, so the reports
+//! are the same on every backend.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -46,7 +57,10 @@ use crate::detector::OutlierDetector;
 use crate::error::CoreError;
 use crate::experiment::{AlgorithmConfig, AnyDetector, ExperimentConfig, FaultDriver};
 use crate::global::GlobalNode;
-use crate::metrics::{estimates_agree, paired_truths, AccuracyReport, LabelReport};
+use crate::metrics::{
+    estimates_agree, hop_scoped_truth, paired_truths, paired_truths_from, AccuracyReport,
+    LabelReport,
+};
 use crate::persist::{self, PersistError};
 use crate::semiglobal::SemiGlobalNode;
 use wsn_data::impute::WindowMeanImputer;
@@ -71,11 +85,9 @@ trait StreamingProbe {
     fn streaming_own_points(&self, id: SensorId) -> Vec<DataPoint>;
     /// Cumulative protocol data points this node has broadcast.
     fn streaming_points_sent(&self) -> u64;
-    /// The node's canonical persisted state (see [`crate::persist`]).
+    /// The node's canonical persisted state (see [`crate::persist`]); the
+    /// checkpoints hold its [`JsonValue::digest`].
     fn persist_snapshot(&self) -> JsonValue;
-    /// Installs a snapshot previously taken by
-    /// [`StreamingProbe::persist_snapshot`].
-    fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError>;
 }
 
 impl StreamingProbe for DetectorApp<AnyDetector> {
@@ -94,10 +106,6 @@ impl StreamingProbe for DetectorApp<AnyDetector> {
     fn persist_snapshot(&self) -> JsonValue {
         self.detector().persist_snapshot()
     }
-
-    fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError> {
-        self.detector_mut().persist_restore(dump)
-    }
 }
 
 impl StreamingProbe for CentralizedApp<Arc<dyn RankingFunction>> {
@@ -115,10 +123,6 @@ impl StreamingProbe for CentralizedApp<Arc<dyn RankingFunction>> {
 
     fn persist_snapshot(&self) -> JsonValue {
         CentralizedApp::persist_snapshot(self)
-    }
-
-    fn persist_restore(&mut self, dump: &JsonValue) -> Result<(), PersistError> {
-        CentralizedApp::persist_restore(self, dump)
     }
 }
 
@@ -145,8 +149,10 @@ pub struct SlideReport {
     pub packets_delta: u64,
     /// Payload bytes transmitted network-wide since the previous slide.
     pub bytes_delta: u64,
-    /// Protocol data points broadcast since the previous slide (zero for
-    /// the centralized baseline).
+    /// Protocol data points broadcast since the previous slide by the
+    /// nodes live now (zero for the centralized baseline). A node that died
+    /// since takes its last broadcasts with it; one that joined counts from
+    /// zero.
     pub data_points_delta: u64,
     /// Average per-node transmit energy spent this slide, in joules.
     pub avg_tx_energy_delta: f64,
@@ -161,6 +167,8 @@ struct Totals {
     bytes: u64,
     tx_joules: f64,
     rx_joules: f64,
+    /// The running sum of [`SlideReport::data_points_delta`]: unlike the
+    /// live nodes' counters it never falls when a node dies.
     data_points: u64,
 }
 
@@ -273,7 +281,8 @@ struct CheckpointCtx {
     config_hash: u64,
 }
 
-/// Everything a checkpoint holds, parsed and validated, ready to install.
+/// Everything a checkpoint holds, parsed and validated, ready to verify
+/// the replay against.
 struct ResumeState {
     /// The next round to run (the checkpoint was taken after `cursor`
     /// slides completed).
@@ -288,8 +297,8 @@ struct ResumeState {
     previous: Totals,
     /// The convergence latency, if reached before the checkpoint.
     convergence: Option<usize>,
-    /// Per-node canonical state dumps.
-    nodes: BTreeMap<SensorId, JsonValue>,
+    /// Per-node digests of the canonical state.
+    nodes: BTreeMap<SensorId, u64>,
 }
 
 /// Reads and preflight-validates `dir/checkpoint.json` against the live
@@ -318,19 +327,26 @@ fn load_checkpoint(dir: &Path, config: &ExperimentConfig) -> Result<ResumeState,
         .collect::<Result<Vec<_>, _>>()?;
     let mut nodes = BTreeMap::new();
     for entry in persist::array_field(&payload, "nodes")? {
-        match entry.as_array() {
-            Some([id, dump]) => {
-                let id = id
-                    .as_u64()
+        let (id, digest) = match entry.as_array() {
+            Some([id, digest]) => (
+                id.as_u64()
                     .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| PersistError::Schema("node entry id is not a u32".into()))?;
-                nodes.insert(SensorId(id), dump.clone());
-            }
+                    .ok_or_else(|| PersistError::Schema("node entry id is not a u32".into()))?,
+                digest
+                    .as_u64()
+                    .ok_or_else(|| PersistError::Schema("node digest is not a u64".into()))?,
+            ),
             _ => {
                 return Err(
-                    PersistError::Schema("node entry is not an [id, dump] pair".into()).into()
+                    PersistError::Schema("node entry is not an [id, digest] pair".into()).into()
                 )
             }
+        };
+        if nodes.insert(SensorId(id), digest).is_some() {
+            return Err(PersistError::Mismatch(format!(
+                "checkpoint holds two digests for node {id}"
+            ))
+            .into());
         }
     }
     Ok(ResumeState {
@@ -445,9 +461,9 @@ impl StreamingExperiment {
 
     /// Writes a crash-safe checkpoint (`checkpoint.json`, atomic +
     /// checksummed; see [`crate::persist`]) into `dir` every `every` slides:
-    /// all node state, the slide reports so far, the delta baseline and the
-    /// fault-plan cursor. A run killed at any point can then be picked up
-    /// with [`StreamingExperiment::resume_from`].
+    /// a digest of every node's state, the slide reports so far, the delta
+    /// baseline and the fault-plan cursor. A run killed at any point can
+    /// then be picked up with [`StreamingExperiment::resume_from`].
     ///
     /// # Panics
     ///
@@ -460,11 +476,10 @@ impl StreamingExperiment {
 
     /// Resumes from the latest checkpoint in `dir` instead of starting at
     /// slide 0: the simulation is replayed (deterministically) up to the
-    /// checkpoint slide, the replayed node state is validated against the
-    /// snapshot, the snapshot is installed, and the run continues
-    /// bit-for-bit as if it had never stopped. A torn, corrupt, or
-    /// mismatched checkpoint fails with [`CoreError::Persist`] before any
-    /// state is touched.
+    /// checkpoint slide, the replayed nodes' state digests are checked
+    /// against the checkpoint's, and the run continues bit-for-bit as if it
+    /// had never stopped. A torn, corrupt, or mismatched checkpoint fails
+    /// with [`CoreError::Persist`] before any slide runs.
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.resume = Some(dir.into());
         self
@@ -530,7 +545,7 @@ impl StreamingExperiment {
         if !topology.is_connected() {
             return Err(CoreError::DisconnectedNetwork);
         }
-        let labels: BTreeSet<PointKey> = trace.anomaly_keys().into_iter().collect();
+        let labels: Arc<BTreeSet<PointKey>> = Arc::new(trace.anomaly_keys().into_iter().collect());
         let mut imputed = trace.clone();
         WindowMeanImputer::new(config.window_samples as usize).impute_trace(&mut imputed);
 
@@ -654,14 +669,14 @@ fn drive<A, S>(
     n: usize,
     hop_diameter: Option<HopCount>,
     mut faults: Option<FaultDriver<'_, A>>,
-    labels: &BTreeSet<PointKey>,
+    labels: &Arc<BTreeSet<PointKey>>,
     deadline: Timestamp,
     label: String,
     persist: Option<&CheckpointCtx>,
     resume: Option<ResumeState>,
 ) -> Result<StreamingOutcome, CoreError>
 where
-    A: Application + StreamingProbe + ScheduleDriven,
+    A: Application + StreamingProbe + ScheduleDriven + 'static,
     S: SimHandle<A>,
 {
     let mut slides = Vec::with_capacity(schedule.rounds);
@@ -669,19 +684,19 @@ where
     let mut convergence_latency = None;
     let node_count = sim.topology().len();
     let mut start_round = 0usize;
+    // Each live node's broadcast counter at the previous slide.
+    let mut sent_last_slide: BTreeMap<SensorId, u64> = BTreeMap::new();
     if let Some(state) = resume {
         // Fast-forward the deterministic simulation through every slide the
         // checkpoint already covers. Fault events are *applied* (not
         // skipped) so the transport layer — routes, duty cycles, membership
         // — is reconstructed exactly; only the collect/grade work is
-        // elided. Replay must land every node on the checkpointed detector
-        // state byte-for-byte, otherwise the checkpoint belongs to a
-        // different run and loading it would silently corrupt the results.
+        // elided. Replay must land every node on the checkpointed state,
+        // digest for digest, otherwise the checkpoint belongs to a different
+        // run and continuing from it would silently corrupt the results.
         let _resume_span = wsn_obs::span("resume");
         for round in 0..state.cursor {
-            let next_round_start =
-                Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
-            let eval_at = Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1));
+            let eval_at = slide_time(schedule, round);
             if let Some(driver) = faults.as_mut() {
                 driver.apply_through(sim, eval_at);
             }
@@ -703,85 +718,110 @@ where
             ))
             .into());
         }
-        let mut install: Result<(), PersistError> = Ok(());
-        let mut seen = 0usize;
-        sim.for_each_app_mut(&mut |id, app| {
-            if install.is_err() {
-                return;
-            }
-            seen += 1;
-            match state.nodes.get(&id) {
-                None => {
-                    install = Err(PersistError::Mismatch(format!(
-                        "live node {id} has no snapshot in the checkpoint"
-                    )));
-                }
-                Some(dump) => {
-                    if app.persist_snapshot() != *dump {
-                        install = Err(PersistError::Mismatch(format!(
-                            "replayed state of node {id} diverges from the checkpoint"
-                        )));
-                    } else {
-                        install = app.persist_restore(dump);
-                    }
-                }
-            }
+        let replayed = sim.map_apps(|_, id, app| {
+            (id, app.persist_snapshot().digest(), app.streaming_points_sent())
         });
-        install?;
-        if seen != state.nodes.len() {
+        for (id, digest, _) in &replayed {
+            match state.nodes.get(id) {
+                None => {
+                    return Err(PersistError::Mismatch(format!(
+                        "live node {id} has no digest in the checkpoint"
+                    ))
+                    .into())
+                }
+                Some(stored) if stored != digest => {
+                    return Err(PersistError::Mismatch(format!(
+                        "replayed state of node {id} diverges from the checkpoint"
+                    ))
+                    .into())
+                }
+                Some(_) => {}
+            }
+        }
+        if replayed.len() != state.nodes.len() {
             return Err(PersistError::Mismatch(format!(
-                "checkpoint holds {} node snapshots but the simulation has {seen} live apps",
-                state.nodes.len()
+                "checkpoint holds {} node digests but the simulation has {} live apps",
+                state.nodes.len(),
+                replayed.len()
             ))
             .into());
         }
+        sent_last_slide = replayed.into_iter().map(|(id, _, sent)| (id, sent)).collect();
         slides = state.slides;
         previous = state.previous;
         convergence_latency = state.convergence;
         start_round = state.cursor;
     }
     for round in start_round..schedule.rounds {
-        // Evaluate 1 µs before the next round's earliest (unstaggered)
-        // sample, so the slide sees everything of round `round` and nothing
-        // of round `round + 1`.
-        let next_round_start =
-            Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
-        let eval_at = Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1));
+        let eval_at = slide_time(schedule, round);
         // Telemetry spans: the per-slide latency breakdown. Children of
         // "slide" cover the whole body, so `slide/sim + slide/collect +
         // slide/evaluate ≈ slide` (detector and fixed-point time nests
         // under `slide/sim` via the dispatch-site spans).
         let _slide_span = wsn_obs::span("slide");
+        let mut joined = BTreeSet::new();
         {
             let _sim_span = wsn_obs::span("sim");
             if let Some(driver) = faults.as_mut() {
+                let cursor = driver.cursor();
                 driver.apply_through(sim, eval_at);
+                joined.extend(driver.joined_since(cursor));
             }
             sim.run_until(eval_at);
         }
 
         let mut local_data: BTreeMap<SensorId, Vec<DataPoint>> = BTreeMap::new();
         let mut estimates: BTreeMap<SensorId, OutlierEstimate> = BTreeMap::new();
-        let mut data_points = 0u64;
+        let mut data_points = previous.data_points;
         {
             let _collect_span = wsn_obs::span("collect");
-            sim.for_each_app(&mut |id, app| {
-                local_data.insert(id, app.streaming_own_points(id));
-                estimates.insert(id, app.streaming_estimate());
-                data_points += app.streaming_points_sent();
+            let collected = sim.map_apps(|_, id, app| {
+                (
+                    id,
+                    app.streaming_own_points(id),
+                    app.streaming_estimate(),
+                    app.streaming_points_sent(),
+                )
             });
+            let mut sent_now = BTreeMap::new();
+            for (id, own, estimate, sent) in collected {
+                local_data.insert(id, own);
+                estimates.insert(id, estimate);
+                // A joiner is a fresh application whose counter starts at
+                // zero, whatever an earlier incarnation had sent.
+                let before = match sent_last_slide.get(&id) {
+                    Some(&before) if !joined.contains(&id) => before,
+                    _ => 0,
+                };
+                data_points += sent - before;
+                sent_now.insert(id, sent);
+            }
+            sent_last_slide = sent_now;
         }
         let window_points = local_data.values().map(Vec::len).sum();
         let eval_span = wsn_obs::span("evaluate");
-        let (truth, label_truth) = paired_truths(
-            ranking,
-            n,
-            labels,
-            &local_data,
-            // Under churn the radio graph changes between slides; each
-            // slide's d-hop grading scopes come from what is deployed *now*.
-            hop_diameter.map(|d| (sim.topology(), u32::from(d))),
-        );
+        let (truth, label_truth) = match hop_diameter {
+            None => paired_truths(ranking, n, labels, &local_data, None),
+            // Every node's d-hop scope is graded on the region owning it.
+            // Under churn the radio graph changes between slides; the scopes
+            // come from what is deployed *now*.
+            Some(d) => {
+                let (ranking, labels, local_data) =
+                    (Arc::clone(ranking), Arc::clone(labels), Arc::new(local_data));
+                paired_truths_from(sim.map_apps(move |topology, id, _| {
+                    let truth = hop_scoped_truth(
+                        &*ranking,
+                        n,
+                        &labels,
+                        &local_data,
+                        topology,
+                        u32::from(d),
+                        id,
+                    );
+                    (id, truth)
+                }))
+            }
+        };
         let accuracy = truth.grade(&estimates);
         let label_report = label_truth.grade(&estimates);
         let agree = match hop_diameter {
@@ -816,12 +856,11 @@ where
                 // Nested under the slide span, so telemetry reports the
                 // checkpoint cost as `slide/checkpoint`.
                 let _ckpt_span = wsn_obs::span("checkpoint");
-                let mut nodes: Vec<JsonValue> = Vec::with_capacity(node_count);
-                sim.for_each_app(&mut |id, app| {
-                    nodes.push(JsonValue::Array(vec![
+                let nodes = sim.map_apps(|_, id, app| {
+                    JsonValue::Array(vec![
                         JsonValue::from(id.0),
-                        app.persist_snapshot(),
-                    ]));
+                        JsonValue::from(app.persist_snapshot().digest()),
+                    ])
                 });
                 let payload = JsonValue::Object(vec![
                     ("config_hash".to_string(), JsonValue::from(ctx.config_hash)),
@@ -880,6 +919,15 @@ where
         node_count,
         rounds: schedule.rounds,
     })
+}
+
+/// When slide `round` is evaluated: 1 µs before the next round's earliest
+/// (unstaggered) sample, so the slide sees everything of round `round` and
+/// nothing of round `round + 1`.
+fn slide_time(schedule: &SamplingSchedule, round: usize) -> Timestamp {
+    let next_round_start =
+        Timestamp::from_secs_f64((round + 1) as f64 * schedule.sample_interval_secs);
+    Timestamp::from_micros(next_round_start.as_micros().saturating_sub(1))
 }
 
 #[cfg(test)]
@@ -972,6 +1020,36 @@ mod tests {
         assert!(packets <= outcome.final_stats.total_packets_sent());
         assert!(bytes <= outcome.final_stats.total_bytes_sent());
         assert!(packets > 0);
+    }
+
+    #[test]
+    fn slide_point_deltas_survive_deaths_and_rejoins() {
+        let mut config = spiky_small(AlgorithmConfig::Global { ranking: RankingChoice::Nn });
+        let interval = config.trace.sample_interval_secs;
+        let at = |round: f64| Timestamp::from_secs_f64(round * interval);
+        let deployment =
+            LabDeployment::with_sensor_count(config.sensor_count, config.deployment_seed).unwrap();
+        let (rejoiner, blinker) = (deployment.sensors()[2], deployment.sensors()[7]);
+        // The blinker dies and rejoins between two slides: the slide after
+        // sees a fresh application under an id that was live before.
+        let plan = wsn_netsim::fault::FaultPlan::new()
+            .with_death(at(3.5), SensorId(4))
+            .with_death(at(3.5), SensorId(6))
+            .with_death(at(3.5), rejoiner.id)
+            .with_join(at(4.5), rejoiner.id, rejoiner.position)
+            .with_death(at(4.25), blinker.id)
+            .with_join(at(4.75), blinker.id, blinker.position);
+        config = config.with_fault_plan(plan).with_liveness_timeout(2.0 * interval);
+        let outcome = StreamingExperiment::new(config).run().unwrap();
+        let live: Vec<usize> = outcome.slides.iter().map(|s| s.accuracy.total_nodes).collect();
+        assert_eq!(live, [9, 9, 9, 6, 7, 7], "the deaths and the rejoin took effect");
+        // Three nodes die at once in a quiet network, so the live nodes'
+        // counters sum to less than at the slide before; the deltas must
+        // still count only new broadcasts, never wrap around.
+        for slide in &outcome.slides {
+            assert!(slide.data_points_delta < 1 << 20, "slide {slide:?} wrapped around");
+        }
+        assert!(outcome.slides.iter().map(|s| s.data_points_delta).sum::<u64>() > 0);
     }
 
     fn scratch_dir(tag: &str) -> PathBuf {

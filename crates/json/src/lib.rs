@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A parsed or to-be-emitted JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -213,7 +214,7 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Int(i) => {
-                out.push_str(&i.to_string());
+                let _ = write!(out, "{i}");
             }
             JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_string(out, s),
@@ -274,6 +275,81 @@ impl JsonValue {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a, 64-bit: the dependency-free checksum guarding every snapshot
+/// payload and journal row, and the hash behind [`JsonValue::digest`]. Not
+/// cryptographic — it detects torn writes, bit rot and diverged state,
+/// which is all the crash model needs.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// Feeds `value` to the hash as an unsigned LEB128 varint.
+fn digest_varint(mut hash: u64, mut value: u128) -> u64 {
+    loop {
+        let low = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            return fnv1a64_extend(hash, &[low]);
+        }
+        hash = fnv1a64_extend(hash, &[low | 0x80]);
+    }
+}
+
+/// Feeds a length-prefixed string to the hash.
+fn digest_str(hash: u64, s: &str) -> u64 {
+    fnv1a64_extend(digest_varint(hash, s.len() as u128), s.as_bytes())
+}
+
+impl JsonValue {
+    /// A 64-bit [`fnv1a64`] digest of the value tree, walked in a canonical
+    /// binary encoding: one tag byte per variant, integers as zigzag LEB128
+    /// varints, floats as their IEEE-754 bits, strings, arrays and objects
+    /// length-prefixed (object keys in insertion order). Two values have the
+    /// same encoding exactly when they have the same variants, the same
+    /// integers, bit-identical floats and the same strings — so unlike a
+    /// digest of the emitted text, `Number(1.0)` and `Int(1)` differ, and
+    /// no text is built.
+    pub fn digest(&self) -> u64 {
+        self.digest_from(FNV_OFFSET)
+    }
+
+    fn digest_from(&self, hash: u64) -> u64 {
+        match self {
+            JsonValue::Null => fnv1a64_extend(hash, &[0]),
+            JsonValue::Bool(b) => fnv1a64_extend(hash, &[1, u8::from(*b)]),
+            JsonValue::Int(i) => {
+                let zigzag = ((*i << 1) ^ (*i >> 127)) as u128;
+                digest_varint(fnv1a64_extend(hash, &[2]), zigzag)
+            }
+            JsonValue::Number(n) => {
+                fnv1a64_extend(fnv1a64_extend(hash, &[3]), &n.to_bits().to_le_bytes())
+            }
+            JsonValue::String(s) => digest_str(fnv1a64_extend(hash, &[4]), s),
+            JsonValue::Array(items) => {
+                let hash = digest_varint(fnv1a64_extend(hash, &[5]), items.len() as u128);
+                items.iter().fold(hash, |hash, item| item.digest_from(hash))
+            }
+            JsonValue::Object(pairs) => {
+                let hash = digest_varint(fnv1a64_extend(hash, &[6]), pairs.len() as u128);
+                pairs
+                    .iter()
+                    .fold(hash, |hash, (key, value)| value.digest_from(digest_str(hash, key)))
+            }
+        }
+    }
+}
+
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
@@ -291,9 +367,9 @@ fn write_number(out: &mut String, n: f64) {
         // digits ("1", "602000000000000000000000"); a trailing ".0" keeps
         // the f64 emit format disjoint from the Int one, which is what lets
         // the parser restore the exact variant.
-        let formatted = format!("{n}");
-        out.push_str(&formatted);
-        if !formatted.contains(['.', 'e', 'E']) {
+        let start = out.len();
+        let _ = write!(out, "{n}");
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     } else {
@@ -315,7 +391,7 @@ fn write_string(out: &mut String, s: &str) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -752,6 +828,76 @@ mod tests {
                 .iter()
                 .all(|r| r.get("median_ns").and_then(JsonValue::as_f64).is_some()));
         }
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn digests_separate_variants_values_and_structure() {
+        let distinct = [
+            JsonValue::Null,
+            JsonValue::Bool(false),
+            JsonValue::Bool(true),
+            JsonValue::Int(0),
+            JsonValue::Int(1),
+            JsonValue::Int(-1),
+            JsonValue::Int(i128::from(u64::MAX)),
+            JsonValue::Int(i128::MIN),
+            JsonValue::Number(0.0),
+            JsonValue::Number(-0.0),
+            JsonValue::Number(1.0),
+            JsonValue::from(""),
+            JsonValue::from("a"),
+            JsonValue::from("ab"),
+            JsonValue::Array(vec![]),
+            JsonValue::Array(vec![JsonValue::from("ab")]),
+            JsonValue::Array(vec![JsonValue::from("a"), JsonValue::from("b")]),
+            JsonValue::Array(vec![JsonValue::Array(vec![])]),
+            JsonValue::Object(vec![]),
+            JsonValue::object([("a", JsonValue::from("b"))]),
+            JsonValue::object([("ab", JsonValue::from(""))]),
+            JsonValue::object([("a", JsonValue::Null), ("b", JsonValue::Null)]),
+            JsonValue::object([("b", JsonValue::Null), ("a", JsonValue::Null)]),
+        ];
+        let digests: std::collections::BTreeSet<u64> =
+            distinct.iter().map(JsonValue::digest).collect();
+        assert_eq!(digests.len(), distinct.len(), "every distinct value digests differently");
+        // Equal trees digest equally, however they were built.
+        let text = "{\"k\":[1,2.5,\"x\",null,true],\"n\":-7}";
+        let parsed = JsonValue::parse(text).unwrap();
+        let built = JsonValue::object([
+            (
+                "k",
+                JsonValue::Array(vec![
+                    JsonValue::from(1u64),
+                    JsonValue::from(2.5),
+                    JsonValue::from("x"),
+                    JsonValue::Null,
+                    JsonValue::from(true),
+                ]),
+            ),
+            ("n", JsonValue::from(-7i64)),
+        ]);
+        assert_eq!(parsed.digest(), built.digest());
+    }
+
+    #[test]
+    fn archived_journal_rows_re_emit_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/journal_fig4_fig5.jsonl");
+        let journal = std::fs::read_to_string(path).expect("the archived journal is committed");
+        let mut rows = 0;
+        for line in journal.lines() {
+            let row = JsonValue::parse(line).unwrap();
+            assert_eq!(row.to_compact_string(), line, "row {rows} re-emits differently");
+            rows += 1;
+        }
+        assert_eq!(rows, 84, "the archived Fig. 4/5 journal holds 84 rows");
     }
 
     #[test]

@@ -269,6 +269,17 @@ pub trait SimHandle<A: Application> {
     fn for_each_app(&self, f: &mut dyn FnMut(SensorId, &A));
     /// Mutably visits every application in ascending node order.
     fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A));
+    /// Maps `f` over every application and returns the results in ascending
+    /// node order. `f` also sees the topology (for per-node scopes such as
+    /// hop neighbourhoods). The partitioned engine runs each region as one
+    /// job on its worker pool, so the work spreads over the cores; the
+    /// sequential engine runs it inline. Either way the output is the same,
+    /// because it is merged in id order.
+    fn map_apps<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        F: Fn(&Topology, SensorId, &A) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+        Self: Sized;
 }
 
 impl<A: Application> SimHandle<A> for Simulator<A> {
@@ -311,6 +322,13 @@ impl<A: Application> SimHandle<A> for Simulator<A> {
         for (id, app) in self.apps_mut() {
             f(id, app);
         }
+    }
+    fn map_apps<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        F: Fn(&Topology, SensorId, &A) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        self.apps().map(|(id, app)| f(self.topology(), id, app)).collect()
     }
 }
 
@@ -629,19 +647,56 @@ where
 
     /// Mutable counterpart of [`PartitionedSimulator::for_each_app`].
     pub fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
-        let owners: Vec<(SensorId, usize)> = self.partition.owners().collect();
-        for (id, r) in owners {
-            let region = self.regions[r].as_mut().expect("region present");
-            let mut found = false;
-            for (app_id, app) in region.apps_mut() {
-                if app_id == id {
-                    f(id, app);
-                    found = true;
-                    break;
-                }
+        let Self { regions, partition, .. } = self;
+        for (id, r) in partition.owners() {
+            if let Some(app) = regions[r].as_mut().expect("region present").app_mut(id) {
+                f(id, app);
             }
-            let _ = found;
         }
+    }
+
+    /// Maps `f` over every application, one pool job per region (inline
+    /// when there is one region or one worker), and returns the results in
+    /// ascending id order. Each region moves out to its job and back, as in
+    /// the epoch loop; `f` sees the region's topology copy, which is
+    /// identical in every region.
+    pub fn map_apps<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        F: Fn(&Topology, SensorId, &A) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        fn map_region<A: Application, T>(
+            region: &Simulator<A>,
+            f: &impl Fn(&Topology, SensorId, &A) -> T,
+        ) -> Vec<(SensorId, T)> {
+            region.apps().map(|(id, app)| (id, f(region.topology(), id, app))).collect()
+        }
+        let mut mapped: Vec<(SensorId, T)> = if self.regions.len() == 1 || self.pool.size() == 1 {
+            (0..self.regions.len()).flat_map(|r| map_region(self.region(r), &f)).collect()
+        } else {
+            let f = Arc::new(f);
+            let jobs: Vec<_> = (0..self.regions.len())
+                .map(|r| {
+                    let region = self.regions[r].take().expect("region present");
+                    let f = Arc::clone(&f);
+                    self.pool.submit(move || {
+                        let mapped = map_region(&region, &*f);
+                        (region, mapped)
+                    })
+                })
+                .collect();
+            let mut mapped = Vec::new();
+            for (r, job) in jobs.into_iter().enumerate() {
+                let (region, part) = job.join();
+                self.regions[r] = Some(region);
+                mapped.extend(part);
+            }
+            mapped
+        };
+        // Regions own disjoint id sets: sorting by id restores the global
+        // order the sequential engine produces.
+        mapped.sort_unstable_by_key(|(id, _)| *id);
+        mapped.into_iter().map(|(_, value)| value).collect()
     }
 
     /// The conservative epoch loop: processes every event with time ≤
@@ -797,6 +852,13 @@ where
     fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
         PartitionedSimulator::for_each_app_mut(self, f);
     }
+    fn map_apps<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        F: Fn(&Topology, SensorId, &A) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        PartitionedSimulator::map_apps(self, f)
+    }
 }
 
 /// Backend-erased simulator: one type experiment drivers can hold whichever
@@ -884,6 +946,13 @@ where
     }
     fn for_each_app_mut(&mut self, f: &mut dyn FnMut(SensorId, &mut A)) {
         delegate!(self, s => SimHandle::<A>::for_each_app_mut(s, f))
+    }
+    fn map_apps<T, F>(&mut self, f: F) -> Vec<T>
+    where
+        F: Fn(&Topology, SensorId, &A) -> T + Send + Sync + 'static,
+        T: Send + 'static,
+    {
+        delegate!(self, s => SimHandle::<A>::map_apps(s, f))
     }
 }
 
@@ -1118,6 +1187,35 @@ mod tests {
         assert_eq!(seq.events_processed(), par.events_processed());
         assert!(seq_stats.total_packets_dropped_asleep() > 0, "some receptions hit sleepers");
         assert!(seq_stats.total_packets_dropped() > 0, "the bursty channel dropped packets");
+    }
+
+    #[test]
+    fn map_apps_matches_sequential_in_id_order_with_a_late_joiner() {
+        let topo = grid_topology(6, 5.0, 6.0);
+        let config = flood_config(LossModel::bernoulli(0.2), 4);
+        let mut seq = Simulator::new(config, topo.clone(), flood_app);
+        let mut par = PartitionedSimulator::new(config, topo, 4, flood_app);
+        assert!(par.region_count() > 1, "the fan-out must span several regions");
+        let mut mapped = Vec::new();
+        for sim in [&mut seq as &mut dyn SimHandle<Flood>, &mut par] {
+            sim.run_until(Timestamp::from_secs(1));
+            sim.remove_node(SensorId(8));
+            sim.add_node(SensorId(100), Position::new(12.5, 12.5), flood_app(SensorId(100)));
+            sim.run_until(Timestamp::from_secs(3));
+        }
+        let probe = |topology: &Topology, id: SensorId, app: &Flood| {
+            (id, topology.len(), app.seen, app.received_from.clone())
+        };
+        mapped.push(SimHandle::map_apps(&mut seq, probe));
+        mapped.push(par.map_apps(probe));
+        assert_eq!(mapped[0], mapped[1]);
+        let ids: Vec<SensorId> = mapped[0].iter().map(|(id, ..)| *id).collect();
+        assert_eq!(ids.len(), 36, "35 survivors and the joiner");
+        assert!(ids.windows(2).all(|pair| pair[0] < pair[1]), "ascending id order");
+        // The regions came back from the pool: the run continues.
+        par.run_until(Timestamp::from_secs(4));
+        seq.run_until(Timestamp::from_secs(4));
+        assert_eq!(seq.network_stats(), par.network_stats());
     }
 
     #[test]

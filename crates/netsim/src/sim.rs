@@ -379,6 +379,11 @@ impl<A: Application> Simulator<A> {
         self.core.component(id.raw()).map(|c| &c.app)
     }
 
+    /// Mutable access to a node's application.
+    pub(crate) fn app_mut(&mut self, id: SensorId) -> Option<&mut A> {
+        self.core.component_mut(id.raw()).map(|c| &mut c.app)
+    }
+
     /// Iterates over all applications in ascending node order.
     pub fn apps(&self) -> impl Iterator<Item = (SensorId, &A)> {
         self.core.components().map(|(id, c)| (SensorId(id), &c.app))

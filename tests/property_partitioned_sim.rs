@@ -85,3 +85,136 @@ fn partitioned_experiments_match_sequential_bit_for_bit_across_256_cases() {
     }
     assert_eq!(cases, 256, "the sweep is meant to cover exactly 256 cases");
 }
+
+/// The streaming driver's slide boundary — collect, hop-scoped grading and
+/// checkpoint digests — fans out over the partitioned engine's regions.
+/// This is its oracle: a seeded grid of streaming runs where
+/// `Partitioned { regions: 2 }` must equal `Sequential` slide for slide
+/// (every `SlideReport`, the final statistics, the protocol traffic and the
+/// convergence latency), with checkpoints off and on. With checkpoints on,
+/// both backends must also write the same node digests and report state.
+/// Algorithms: Global-NN, Semi-global NN at d ∈ {1, 2}, and Centralized;
+/// fault plan off and on (the centralized baseline takes no fault plan, so
+/// it runs fault-free only). 7 variants × 2 checkpoint modes × 4 seeds = 56
+/// cases.
+#[test]
+fn streaming_partitioned_matches_sequential_slide_for_slide() {
+    use in_network_outlier::detection::persist::{read_verified, JsonValue};
+    use in_network_outlier::workload::FaultProfile;
+    use wsn_data::lab::LabDeployment;
+    use wsn_netsim::region::Partition;
+
+    const SENSORS: usize = 16;
+    // At the default small-config range of 20 m this deployment fits one
+    // radio-range tile, and the partitioned engine would run one region.
+    const RANGE_M: f64 = 15.0;
+    let partitioned = SimBackend::Partitioned { regions: 2 };
+    let deployment = LabDeployment::with_sensor_count(SENSORS, 0).expect("deployment builds");
+    let topology = Topology::from_specs(deployment.sensors(), RANGE_M);
+    assert_eq!(
+        Partition::grid(&topology, 2).region_count(),
+        2,
+        "the deployment must really split, or the fan-out is never exercised"
+    );
+    let profile = FaultProfile { death_fraction: 0.25, rejoin_fraction: 0.5, duty_cycle: None };
+    let algorithms = [
+        AlgorithmConfig::Global { ranking: RankingChoice::Nn },
+        AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 1 },
+        AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 2 },
+        AlgorithmConfig::Centralized { ranking: RankingChoice::Nn },
+    ];
+    let scratch = |tag: &str| {
+        let dir = std::env::temp_dir()
+            .join(format!("wsn-prop-stream-backends-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    // A checkpoint's payload minus its configuration hash (which names the
+    // backend, and so differs by design).
+    let checkpoint_state = |dir: &std::path::Path| {
+        let (_, payload) = read_verified(&dir.join("checkpoint.json")).expect("checkpoint reads");
+        match payload {
+            JsonValue::Object(pairs) => {
+                pairs.into_iter().filter(|(key, _)| key != "config_hash").collect::<Vec<_>>()
+            }
+            other => panic!("checkpoint payload is not an object: {other:?}"),
+        }
+    };
+    let mut cases = 0usize;
+    for algorithm in algorithms {
+        let fault_modes: &[bool] = if matches!(algorithm, AlgorithmConfig::Centralized { .. }) {
+            &[false]
+        } else {
+            &[false, true]
+        };
+        for &faults in fault_modes {
+            for checkpoints in [false, true] {
+                for (trace_seed, sim_seed) in [(7, 1), (11, 2), (13, 3), (17, 5)] {
+                    let mut config = ExperimentConfig::small().with_algorithm(algorithm);
+                    config.sensor_count = SENSORS;
+                    config.transmission_range_m = RANGE_M;
+                    config.loss = LossModel::bernoulli(0.1);
+                    config.trace.anomalies.spike_probability = 0.08;
+                    config.trace_seed = trace_seed;
+                    config.sim_seed = sim_seed;
+                    if faults {
+                        let plan = profile.instantiate(
+                            deployment.sensors(),
+                            config.trace.sample_interval_secs,
+                            config.trace.rounds,
+                            sim_seed,
+                        );
+                        let timeout = 2.0 * config.trace.sample_interval_secs;
+                        config = config.with_fault_plan(plan).with_liveness_timeout(timeout);
+                    }
+                    let ctx = format!(
+                        "case {cases}: {algorithm:?} faults={faults} checkpoints={checkpoints} \
+                         trace_seed={trace_seed} sim_seed={sim_seed}"
+                    );
+                    let dirs = [scratch("seq"), scratch("par")];
+                    let [sequential, partitioned] = [SimBackend::Sequential, partitioned]
+                        .map(|backend| config.clone().with_backend(backend))
+                        .iter()
+                        .zip(&dirs)
+                        .map(|(config, dir)| {
+                            let mut experiment = StreamingExperiment::new(config.clone());
+                            if checkpoints {
+                                experiment = experiment.checkpoint_every_slides(2, dir);
+                            }
+                            experiment.run().unwrap_or_else(|e| panic!("run failed: {e}\n{ctx}"))
+                        })
+                        .collect::<Vec<_>>()
+                        .try_into()
+                        .expect("two backends");
+                    assert_eq!(sequential.slides.len(), config.trace.rounds, "{ctx}");
+                    for (seq, par) in sequential.slides.iter().zip(&partitioned.slides) {
+                        assert_eq!(seq, par, "slide {} diverged: {ctx}", seq.slide);
+                    }
+                    assert_eq!(sequential.final_stats, partitioned.final_stats, "stats: {ctx}");
+                    assert_eq!(
+                        sequential.data_points_sent, partitioned.data_points_sent,
+                        "protocol traffic diverged: {ctx}"
+                    );
+                    assert_eq!(
+                        sequential.convergence_latency_slides,
+                        partitioned.convergence_latency_slides,
+                        "convergence latency diverged: {ctx}"
+                    );
+                    assert_eq!(sequential, partitioned, "outcome diverged: {ctx}");
+                    if checkpoints {
+                        assert_eq!(
+                            checkpoint_state(&dirs[0]),
+                            checkpoint_state(&dirs[1]),
+                            "checkpoint digests or report state diverged: {ctx}"
+                        );
+                    }
+                    for dir in &dirs {
+                        let _ = std::fs::remove_dir_all(dir);
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 56, "the streaming grid is meant to cover exactly 56 cases");
+}

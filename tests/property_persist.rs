@@ -469,3 +469,77 @@ fn torn_checkpoints_are_always_refused_never_loaded() {
     assert_eq!(resumed, baseline);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A checkpoint whose node digests disagree with the replay is refused with
+/// [`PersistError::Mismatch`] before any slide runs, on both backends. The
+/// tampered files are re-written through the atomic writer, so they pass
+/// every torn-file check (header, length, checksum) and only the replay
+/// comparison can catch them. Three tamperings: one node's digest altered,
+/// a live node's entry missing, and an entry for a node that does not
+/// exist. The refused runs checkpoint every slide into a probe directory:
+/// had any slide run, the probe would hold a checkpoint.
+#[test]
+fn divergent_checkpoints_are_refused_before_any_slide_runs() {
+    use in_network_outlier::detection::persist::{read_verified, write_atomic};
+
+    type Tamper = fn(&mut Vec<JsonValue>);
+    let tamperings: [(&str, Tamper); 3] = [
+        ("altered digest", |nodes| {
+            let JsonValue::Array(entry) = &mut nodes[3] else { panic!("node entry is a pair") };
+            let digest = entry[1].as_u64().expect("digests are u64");
+            entry[1] = JsonValue::from(digest ^ 1);
+        }),
+        ("missing entry", |nodes| {
+            nodes.remove(4);
+        }),
+        ("extra entry", |nodes| {
+            nodes.push(JsonValue::Array(vec![JsonValue::from(9_999u32), JsonValue::from(0u64)]));
+        }),
+    ];
+    for backend in [SimBackend::Sequential, SimBackend::Partitioned { regions: 2 }] {
+        let mut config = streaming_config(
+            AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter: 2 },
+            backend,
+            None,
+            7,
+            1,
+        );
+        // At 15 m the 9-sensor layout spans two radio-range tiles, so the
+        // partitioned backend verifies on two regions (at the default 20 m
+        // it would run one).
+        config.transmission_range_m = 15.0;
+        let dir = scratch_dir("divergent", 0);
+        kill_at_checkpoint(&config, &dir, 2, 1);
+        let path = dir.join("checkpoint.json");
+        let (kind, intact) = read_verified(&path).expect("the checkpoint reads");
+        for (name, tamper) in tamperings {
+            let mut payload = intact.clone();
+            let JsonValue::Object(pairs) = &mut payload else { panic!("payload is an object") };
+            let (_, JsonValue::Array(nodes)) =
+                pairs.iter_mut().find(|(key, _)| key == "nodes").expect("payload lists nodes")
+            else {
+                panic!("nodes is an array")
+            };
+            tamper(nodes);
+            write_atomic(&path, &kind, &payload).expect("the tampered checkpoint writes");
+
+            let probe = scratch_dir("divergent-probe", 0);
+            let err = StreamingExperiment::new(config.clone())
+                .checkpoint_every_slides(1, &probe)
+                .resume_from(&dir)
+                .run()
+                .expect_err("a divergent checkpoint must be refused");
+            assert!(
+                matches!(err, CoreError::Persist(PersistError::Mismatch(_))),
+                "{name} on {backend:?} gave {err:?}, expected Mismatch"
+            );
+            assert!(!probe.exists(), "{name} on {backend:?}: a slide ran before the refusal");
+        }
+        // The intact checkpoint still resumes: the refusals were the
+        // tampering's fault.
+        write_atomic(&path, &kind, &intact).unwrap();
+        let resumed = StreamingExperiment::new(config.clone()).resume_from(&dir).run().unwrap();
+        assert_eq!(resumed, StreamingExperiment::new(config).run().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
