@@ -165,4 +165,18 @@ if result.get("correct") is not True or result.get("failed") != 0:
     sys.exit(f"perfbench city-stream smoke failed its exact checks: {sys.argv[1]}")
 PY
 
+# The same run traced: it adds the checkpoint-free and sequential-backend
+# runs, which must each equal the reference run slide for slide, and reads
+# the engine counters. city-stream never evicts, so the fixed-point engine
+# must never desync-rebuild.
+echo "== perfbench traced smoke (one-second city-stream, --trace 1) =="
+result=$(python3 perfbench/run.py --fleet-rate 140 --workload city-stream --seed 1 --seconds 1 --trace 1 | tail -n 1)
+python3 - "$result" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+rebuilds = result.get("metrics", {}).get("engine.desync_rebuilds", {}).get("value")
+if result.get("correct") is not True or result.get("failed") != 0 or rebuilds != 0:
+    sys.exit(f"perfbench traced city-stream smoke failed: {sys.argv[1]}")
+PY
+
 echo "CI OK"

@@ -10,13 +10,23 @@
 //! holds at an equal or smaller hop, and broadcasts the rest. Setting `d` to
 //! at least the network diameter makes the algorithm behave exactly like the
 //! global one.
+//!
+//! **Exchanged copies carry hop ≥ 1.** A sender hop-increments every point
+//! it forwards, so [`OutlierDetector::receive_arcs`] refuses a copy that
+//! claims hop 0 (as it refuses one beyond `d`). Two things follow: the hop-0
+//! prefix `P_i^{≤0}` holds exactly the node's own samples, and no
+//! shared-knowledge set ever holds a hop-0 point, so `known^{≤0}` is empty
+//! for every neighbour. The hop-0 sufficient set `Z_0 = SS(P_i^{≤0}, ∅)` is
+//! therefore one set per own-data change, shared by every neighbour; only
+//! the prefixes `h ∈ [1, d−1]` run a per-neighbour fixed point (none for
+//! `d = 1`).
 
 use crate::cache::RevisionCache;
 use crate::detector::OutlierDetector;
 use crate::ledger::{fold_min_timestamp, QuietLedger};
 use crate::message::OutlierBroadcast;
 use crate::persist::{self, PersistError};
-use crate::sufficient::FixedPointEngine;
+use crate::sufficient::{sufficient_set_indexed, FixedPointEngine};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use wsn_data::window::WindowConfig;
@@ -25,9 +35,9 @@ use wsn_json::JsonValue;
 use wsn_ranking::index::{AnyIndex, IndexStrategy};
 use wsn_ranking::{top_n_outliers, OutlierEstimate, RankingFunction};
 
-/// One hop-prefix `P_i^{≤h}` of the window together with its neighbour
-/// index, precomputed once per window revision and reused for every
-/// neighbour's sufficient-set fixed point.
+/// The hop-prefixes `P_i^{≤h}` for `h ∈ [1, d−1]` (entry `h − 1` holds
+/// prefix `h`), each with its neighbour index, precomputed once per window
+/// revision and reused for every neighbour's sufficient-set fixed point.
 type HopPrefixes = Vec<(PointSet, AnyIndex)>;
 
 /// Per-sensor state of the semi-global algorithm.
@@ -53,15 +63,24 @@ pub struct SemiGlobalNode<R> {
     shared_oldest: Option<Timestamp>,
     points_sent: u64,
     points_received: u64,
-    /// The hop-prefixes `P_i^{≤h}` for `h ∈ [0, d-1]` with their neighbour
+    /// Moves whenever the own-sample prefix `P_i^{≤0}` may change: on an
+    /// accepted local insert, on a clock advance that evicts anything and on
+    /// a restore. Received copies (hop ≥ 1) never move it.
+    own_revision: u64,
+    /// `Z_0 = SS(P_i^{≤0}, ∅)` with every point already hop-incremented,
+    /// keyed by `own_revision`. Every neighbour's outgoing set starts from
+    /// it and shares its points.
+    hop_zero_cache: RevisionCache<PointSet>,
+    /// The hop-prefixes `P_i^{≤h}` for `h ∈ [1, d−1]` with their neighbour
     /// indexes, invalidated whenever the window slides or changes.
     prefix_cache: RevisionCache<HopPrefixes>,
     /// Per-neighbour revision bookkeeping behind the "nothing to send" memo
     /// (see [`crate::global::GlobalNode`] for the full rationale).
     ledger: QuietLedger,
-    /// One reusable sufficient-set evaluator per hop prefix `P_i^{≤h}`:
+    /// One reusable sufficient-set evaluator per hop prefix `P_i^{≤h}` for
+    /// `h ∈ [1, d−1]` (engine `h − 1` serves prefix `h`; none for `d = 1`):
     /// each prefix is a pure function of the window contents, so the window
-    /// revision pins engine `h`'s caches to prefix `h` and the seed/support
+    /// revision pins an engine's caches to its prefix and the seed/support
     /// work is shared across all neighbours of a protocol step.
     engines: Vec<FixedPointEngine>,
     /// Silence threshold in seconds after which a neighbour is presumed dead
@@ -102,9 +121,11 @@ impl<R: RankingFunction> SemiGlobalNode<R> {
             shared_oldest: None,
             points_sent: 0,
             points_received: 0,
+            own_revision: 0,
+            hop_zero_cache: RevisionCache::new(),
             prefix_cache: RevisionCache::new(),
             ledger: QuietLedger::new(),
-            engines: (0..hop_diameter).map(|_| FixedPointEngine::new()).collect(),
+            engines: (1..hop_diameter).map(|_| FixedPointEngine::new()).collect(),
             liveness_timeout_secs: None,
             last_now: Timestamp::ZERO,
             last_heard: BTreeMap::new(),
@@ -170,17 +191,16 @@ impl<R: RankingFunction> SemiGlobalNode<R> {
         self.shared_with.get(&neighbor).cloned().unwrap_or_default()
     }
 
-    /// Forwards a just-recorded shared-knowledge delta to every hop
-    /// prefix's engine: a point at hop `v` enters `known^{≤h}` for every
-    /// `h ≥ v`, and engines whose prefix the delta does not touch still get
-    /// an (empty) note so their sync chain follows the bookkeeping
-    /// revision.
+    /// Forwards a just-recorded shared-knowledge delta to every engine: a
+    /// point at hop `v` enters `known^{≤h}` for every `h ≥ v`, and engines
+    /// whose prefix the delta does not touch still get an (empty) note so
+    /// their sync chain follows the bookkeeping revision.
     fn note_shared(&mut self, neighbor: SensorId, fresh: &[Arc<DataPoint>]) {
         let revision = self.ledger.state(neighbor, 0).1;
         let mut batch: Vec<Arc<DataPoint>> = Vec::with_capacity(fresh.len());
-        for (h, engine) in self.engines.iter_mut().enumerate() {
+        for (engine, h) in self.engines.iter_mut().zip(1..) {
             batch.clear();
-            batch.extend(fresh.iter().filter(|p| p.hop <= h as HopCount).cloned());
+            batch.extend(fresh.iter().filter(|p| p.hop <= h).cloned());
             engine.note_shared_points(neighbor, &batch, revision);
         }
     }
@@ -188,8 +208,9 @@ impl<R: RankingFunction> SemiGlobalNode<R> {
     /// Serializes this node's complete canonical protocol state for
     /// [`crate::persist`] — like
     /// [`crate::global::GlobalNode::persist_snapshot`], plus the hop
-    /// diameter and one engine chain set per hop prefix. The hop-prefix
-    /// cache is derived state and not included.
+    /// diameter and one engine chain set per hop prefix `h ∈ [1, d−1]`. The
+    /// hop-0 set and the hop-prefix cache are derived state and not
+    /// included.
     pub fn persist_snapshot(&self) -> JsonValue {
         JsonValue::Object(vec![
             ("kind".into(), JsonValue::from("semiglobal")),
@@ -286,6 +307,7 @@ impl<R: RankingFunction> SemiGlobalNode<R> {
         self.shared_oldest = shared_oldest;
         self.points_sent = points_sent;
         self.points_received = points_received;
+        self.own_revision += 1;
         self.prefix_cache.invalidate();
         self.ledger = ledger;
         for (engine, dumps) in self.engines.iter_mut().zip(engine_dumps) {
@@ -310,7 +332,9 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
     fn add_local_points(&mut self, points: Vec<DataPoint>) {
         for mut p in points {
             p.hop = 0; // points are born at their origin
-            self.window.insert(p);
+            if self.window.insert(p) {
+                self.own_revision += 1;
+            }
         }
     }
 
@@ -326,9 +350,11 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
         let shared = self.shared_with.entry(from).or_default();
         let mut fresh: Vec<Arc<DataPoint>> = Vec::new();
         for p in points {
-            if p.hop > self.hop_diameter {
+            if p.hop == 0 || p.hop > self.hop_diameter {
                 // A copy that travelled farther than the spatial extent can
-                // never influence this node's result; ignore it outright.
+                // never influence this node's result; ignore it outright. A
+                // copy claiming hop 0 was not forwarded by an honest sender
+                // and would pose as a local sample in `P_i^{≤0}`.
                 continue;
             }
             // The bookkeeping set, the window and the sender's copy share
@@ -364,7 +390,9 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
                 crate::telemetry::STALE_NEIGHBORS_PRUNED.add(1);
             }
         }
-        self.window.advance_to(now);
+        if self.window.advance_to(now) > 0 {
+            self.own_revision += 1;
+        }
         let cutoff = self.window.config().cutoff(now);
         self.ledger.evict_and_bump_gated(&mut self.shared_with, cutoff, &mut self.shared_oldest);
     }
@@ -393,8 +421,21 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
         let pi = self.window.snapshot();
         let hop_diameter = self.hop_diameter;
         let revision = self.window.revision();
+        let (ranking, n) = (&self.ranking, self.n);
+        // Z_0 = SS(P_i^{≤0}, ∅), hop-incremented once: `known^{≤0}` is
+        // empty for every neighbour (see the module docs).
+        let hop_zero = self.hop_zero_cache.get_or_build(self.own_revision, || {
+            let own = pi.filter_max_hop(0);
+            let index = AnyIndex::build(IndexStrategy::Auto, &own);
+            let z_0 = sufficient_set_indexed(ranking, n, &own, &index, &PointSet::new());
+            let mut forwarded = PointSet::new();
+            for p in z_0.iter() {
+                forwarded.insert(p.with_incremented_hop());
+            }
+            forwarded
+        });
         let prefixes = self.prefix_cache.get_or_build(revision, || {
-            (0..hop_diameter)
+            (1..hop_diameter)
                 .map(|h| {
                     let pi_h = pi.filter_max_hop(h);
                     let index = AnyIndex::build(IndexStrategy::Auto, &pi_h);
@@ -421,13 +462,16 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
             // reading it here is free.
             let empty = PointSet::new();
             let known = self.shared_with.get(&j).unwrap_or(&empty);
-            // Per-prefix sufficient sets, hop-incremented and min-merged.
-            // The hop increment necessarily materialises a fresh copy of
-            // each forwarded point; every set below shares those copies.
-            let mut z = PointSet::new();
-            for (h, (pi_h, index)) in prefixes.iter().enumerate() {
-                let known_h = known.filter_max_hop(h as HopCount);
-                let z_h = self.engines[h].sufficient_set(
+            // Per-prefix sufficient sets, hop-incremented and min-merged onto
+            // the shared hop-0 set. The hop increment of a higher prefix
+            // materialises a fresh copy of each forwarded point; every set
+            // below shares those copies and the hop-0 set's.
+            let mut z = PointSet::clone(&hop_zero);
+            for ((pi_h, index), (engine, h)) in
+                prefixes.iter().zip(self.engines.iter_mut().zip(1..))
+            {
+                let known_h = known.filter_max_hop(h);
+                let z_h = engine.sufficient_set(
                     &self.ranking,
                     self.n,
                     pi_h,
@@ -479,8 +523,11 @@ impl<R: RankingFunction> OutlierDetector for SemiGlobalNode<R> {
     }
 
     fn estimate(&self) -> OutlierEstimate {
-        let in_range = self.window.contents().filter_max_hop(self.hop_diameter);
-        top_n_outliers(&self.ranking, self.n, &in_range)
+        // `receive_arcs` admits hops in [1, d] and local points are hop 0,
+        // so the whole window is `D_i^{≤d}`.
+        let held = self.window.contents();
+        debug_assert!(held.iter().all(|p| p.hop <= self.hop_diameter));
+        top_n_outliers(&self.ranking, self.n, held)
     }
 
     fn held_points(&self) -> &PointSet {
@@ -589,6 +636,19 @@ mod tests {
         assert_eq!(node.points_received(), 0);
         node.receive(SensorId(2), vec![pt(2, 1, 5.0).with_hop(2)]);
         assert_eq!(node.points_received(), 1);
+    }
+
+    #[test]
+    fn copies_claiming_hop_zero_are_refused_on_receipt() {
+        let mut node = SemiGlobalNode::new(SensorId(1), NnDistance, 1, 2, window());
+        node.add_local_points(vec![pt(1, 0, 1.0)]);
+        node.receive(SensorId(2), vec![pt(2, 0, 5.0).with_hop(1)]);
+        let held = node.held_points().clone();
+        let known = node.known_common_with(SensorId(2));
+        node.receive(SensorId(2), vec![pt(2, 1, 500.0).with_hop(0)]);
+        assert_eq!(node.held_points(), &held, "the window is untouched");
+        assert_eq!(node.points_received(), 1, "the refused copy is not counted");
+        assert_eq!(node.known_common_with(SensorId(2)), known, "nothing is recorded as shared");
     }
 
     #[test]

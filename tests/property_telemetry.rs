@@ -148,6 +148,60 @@ fn steady_state_streaming_performs_zero_desync_rebuilds() {
     }
 }
 
+/// The same gate for the semi-global detector at `d = 1`, where every
+/// neighbour's outgoing set is the hop-0 sufficient set `SS(P_i^{≤0}, ∅)`:
+/// that set depends on the node's own samples alone, so it is computed
+/// once per own-data change — at most one engine call per sensor per
+/// sampling round, and never a rebuild. The `d = 2` run's re-scan and
+/// rebuild counters are printed, not gated: its hop-1 engine still runs
+/// one chain per neighbour.
+#[test]
+fn semiglobal_streaming_computes_hop_zero_once_per_sample_without_rebuilds() {
+    let _guard = lock();
+    const SENSORS: usize = 12;
+    const ROUNDS: usize = 4;
+    for hop_diameter in [1, 2] {
+        let config = ExperimentConfig {
+            sensor_count: SENSORS,
+            trace: SyntheticTraceConfig { rounds: ROUNDS, ..Default::default() },
+            window_samples: 10, // > rounds: no sample ever leaves the window
+            n: 4,
+            transmission_range_m: 18.0,
+            ..Default::default()
+        }
+        .with_algorithm(AlgorithmConfig::SemiGlobal { ranking: RankingChoice::Nn, hop_diameter });
+
+        wsn_obs::reset();
+        wsn_obs::set_enabled(true);
+        let outcome = StreamingExperiment::new(config).run().expect("streaming run succeeds");
+        wsn_obs::set_enabled(false);
+        assert_eq!(outcome.slides.len(), ROUNDS, "every slide must be observed");
+
+        if !wsn_obs::compiled() {
+            continue;
+        }
+        let report = wsn_obs::report();
+        let (calls, rebuilds) =
+            (report.counter("engine.calls"), report.counter("engine.desync_rebuilds"));
+        if hop_diameter == 2 {
+            println!(
+                "semi-global d = 2: engine.calls {calls}, desync_rebuilds {rebuilds}, \
+                 desync_rescans_unrecorded {}, desync_rescans_revision_gap {}, chain_fast {}",
+                report.counter("engine.desync_rescans_unrecorded"),
+                report.counter("engine.desync_rescans_revision_gap"),
+                report.counter("engine.chain_fast"),
+            );
+            continue;
+        }
+        assert!(calls > 0, "the gate is vacuous unless the fixed-point engine actually ran");
+        assert!(
+            calls <= (SENSORS * ROUNDS) as u64,
+            "{calls} engine calls for {SENSORS} sensors × {ROUNDS} rounds of own samples"
+        );
+        assert_eq!(rebuilds, 0, "d = 1 must never desync-rebuild; report: {:?}", report.counters);
+    }
+}
+
 /// The fault-model counters: a churned, duty-cycled run must stay
 /// bit-identical between collection on and off (the zero-cost contract
 /// extends to the fault layer), and when telemetry is compiled in, the
